@@ -253,7 +253,10 @@ def _run_all_targets(
             if name in snapshot_failures:
                 print(f"SNAPSHOT DIVERGENCE: {name}: {snapshot_failures[name]}")
             else:
-                print(f"OK: target {name!r} — snapshot-enabled run identical to cold run")
+                print(
+                    f"OK: target {name!r} — snapshot-restored and pruned "
+                    "runs identical to cold runs"
+                )
     passed = (
         all(r.clean for r in reports.values())
         if strict

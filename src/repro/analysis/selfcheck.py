@@ -78,13 +78,15 @@ def check_all_targets(
 
 
 def check_snapshot_determinism(name: str) -> Optional[str]:
-    """Verify snapshot-restored runs match cold runs for one target.
+    """Verify snapshot-restored and pruned runs match cold runs for one target.
 
     Executes the same injected experiment three ways — cold boot,
     snapshot-miss (capture then restore), snapshot-hit (pure restore
     through the prefix fast-forward path) — and compares the full
-    :class:`~repro.targets.base.RunResult` of each.  Returns ``None``
-    when they are identical (or the target opts out of snapshots), else
+    :class:`~repro.targets.base.RunResult` of each.  Then runs one E2
+    error the def/use pruning answers from the reference memo and one
+    it simulates, each against its cold run.  Returns ``None`` when
+    everything is identical (or the target opts out of snapshots), else
     a one-line description of the divergence.  ``--all-targets`` runs
     this per registered workload, so ``make lint`` also guards the
     dynamic equivalence the snapshot layer promises, not just the static
@@ -106,10 +108,17 @@ def check_snapshot_determinism(name: str) -> Optional[str]:
     warm = CampaignController(
         target=target, snapshots=True, injection_start_ms=start_ms
     )
-    reference = cold.run_injection(error, case).result
-    for label in ("snapshot-miss", "snapshot-hit"):
+    runs = [("snapshot-miss", error), ("snapshot-hit", error)]
+    e2_errors = target.e2_error_set()
+    for label, pruned in (("pruned E2", True), ("live E2", False)):
+        e2_error = next(
+            (e for e in e2_errors if warm.prunable(e, case) == pruned), None
+        )
+        if e2_error is not None:
+            runs.append((label, e2_error))
+    for label, error in runs:
         result = warm.run_injection(error, case).result
-        if result != reference:
+        if result != cold.run_injection(error, case).result:
             return (
                 f"{label} run diverged from the cold run for error "
                 f"{error.name!r} (case m={case.mass_kg}, v={case.velocity_mps})"

@@ -25,12 +25,23 @@ fault-free prefix, so the pre-injection trajectory of a (version, case)
 grid point is simulated once rather than once per error.  Both paths
 are byte-identical to a cold run; fault-free reference runs are
 additionally memoized outright (one simulation per (version, case)).
+
+Def/use pruning.  The memoized reference run also records which bytes
+of the injectable memory the software reads (every software read goes
+through :meth:`repro.memory.memmap.Variable.get`).  An injected run
+whose flipped byte is not among them cannot diverge from the fault-free
+run — each tick reads exactly the fault-free values — so
+:meth:`CampaignController.run_injection` returns the memoized result
+with the injection counters computed in closed form instead of
+simulating.  The read set is recorded from tick 0, a superset of the
+reads after any ``injection_start_ms``.  Pruning shares the memo's
+gate: snapshots usable and no tracer attached.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Dict, Optional, Tuple
+from typing import Dict, FrozenSet, Optional, Tuple
 
 from repro.injection.errors import ErrorSpec
 from repro.injection.injector import INJECTION_PERIOD_MS, TimeTriggeredInjector
@@ -41,9 +52,14 @@ from repro.targets import snapshot as snapshots_mod
 
 __all__ = ["ExperimentRecord", "CampaignController", "TIMEOUT_VIOLATION"]
 
-#: Memoized fault-free reference runs: cache key -> (RunResult, events).
+#: A memoized fault-free run: its result, its detection events and the
+#: bytes of the injectable memory it read (``None``: the system exposes
+#: no ``memory_map`` to record, so nothing is pruned).
+ReferenceEntry = Tuple[RunResult, Tuple, Optional[FrozenSet[int]]]
+
+#: Memoized fault-free reference runs: cache key -> ReferenceEntry.
 #: Per process, like the snapshot cache (forked workers inherit it).
-_REFERENCE_MEMO: Dict[Tuple, Tuple[RunResult, Tuple]] = {}
+_REFERENCE_MEMO: Dict[Tuple, ReferenceEntry] = {}
 
 
 def clear_reference_memo() -> None:
@@ -262,6 +278,41 @@ class CampaignController:
             repr(self.run_config),
         )
 
+    def _memo_usable(self) -> bool:
+        """The reference memo (and with it pruning) applies to this run."""
+        return self._snapshots_usable() and self.tracer is None
+
+    def _reference_entry(self, test_case: TestCase, version: str) -> ReferenceEntry:
+        """The memoized fault-free run of one grid point, simulated on first use.
+
+        The run starts from the booted snapshot with read recording on,
+        so the entry holds every byte the fault-free software reads.
+        """
+        key = self._reference_memo_key(test_case, version)
+        entry = _REFERENCE_MEMO.get(key)
+        if entry is None:
+            system = snapshots_mod.booted_system(
+                self.target, test_case, version, run_config=self.run_config
+            )
+            memory = getattr(system, "memory_map", None)
+            if memory is None:
+                result, reads = system.run(), None
+            else:
+                with memory.recording_reads() as recorded:
+                    result = system.run()
+                reads = frozenset(recorded)
+            entry = (result, tuple(system.detection_log.events), reads)
+            _REFERENCE_MEMO[key] = entry
+        return entry
+
+    def _finish(
+        self, error: Optional[ErrorSpec], version: str, result: RunResult, events
+    ) -> ExperimentRecord:
+        self.runs_executed += 1
+        self._emit_run_end(result)
+        self._record_metrics(result, events)
+        return ExperimentRecord(error=error, version=version, result=result)
+
     def run_reference(self, test_case: TestCase, version: str = "All") -> ExperimentRecord:
         """A fault-free reference run (the Section-3.4 precondition check).
 
@@ -271,26 +322,34 @@ class CampaignController:
         campaign — costs one simulation per grid point per process.
         """
         self._emit_run_start(None, test_case, version)
-        memo_key = None
-        if self._snapshots_usable() and self.tracer is None:
-            memo_key = self._reference_memo_key(test_case, version)
-            cached = _REFERENCE_MEMO.get(memo_key)
-            if cached is not None:
-                result, events = cached
-                self.runs_executed += 1
-                self._emit_run_end(result)
-                self._record_metrics(result, events)
-                return ExperimentRecord(error=None, version=version, result=result)
+        if self._memo_usable():
+            result, events, _reads = self._reference_entry(test_case, version)
+            return self._finish(None, version, result, events)
         system = self._build_system(test_case, version)
         if self.tracer is not None:
             system.detection_log.tracer = self.tracer
         result = system.run()
-        if memo_key is not None:
-            _REFERENCE_MEMO[memo_key] = (result, tuple(system.detection_log.events))
-        self.runs_executed += 1
-        self._emit_run_end(result)
-        self._record_metrics(result, system.detection_log.events)
-        return ExperimentRecord(error=None, version=version, result=result)
+        return self._finish(None, version, result, system.detection_log.events)
+
+    def _pruned_reference(
+        self, error: ErrorSpec, test_case: TestCase, version: str
+    ) -> Optional[ReferenceEntry]:
+        """The memo entry *error*'s run provably equals, else ``None``.
+
+        Found when the memo applies and the fault-free run of the grid
+        point never reads ``error.address``; fills the memo on first use.
+        """
+        if not self._memo_usable():
+            return None
+        entry = self._reference_entry(test_case, version)
+        reads = entry[2]
+        if reads is None or error.address in reads:
+            return None
+        return entry
+
+    def prunable(self, error: ErrorSpec, test_case: TestCase, version: str = "All") -> bool:
+        """Whether :meth:`run_injection` answers *error* from the memo."""
+        return self._pruned_reference(error, test_case, version) is not None
 
     def run_injection(
         self,
@@ -298,22 +357,33 @@ class CampaignController:
         test_case: TestCase,
         version: str = "All",
     ) -> ExperimentRecord:
-        """One injected experiment run on a freshly booted system."""
+        """One injected experiment run on a freshly booted system.
+
+        A run whose flipped byte the fault-free run never reads is
+        pruned: see the module docstring.
+        """
         self._emit_run_start(error, test_case, version)
-        system = self._build_system(test_case, version, fast_forward=True)
-        if self.tracer is not None:
-            system.detection_log.tracer = self.tracer
         injector = TimeTriggeredInjector(
             error,
             period_ms=self.injection_period_ms,
             start_ms=self.injection_start_ms,
             tracer=self.tracer,
         )
+        pruned = self._pruned_reference(error, test_case, version)
+        if pruned is not None:
+            reference, events, _reads = pruned
+            count = injector.injections_through(reference.duration_ms - 1)
+            result = dataclasses.replace(
+                reference,
+                first_injection_ms=injector.start_ms if count else None,
+                injection_count=count,
+            )
+            return self._finish(error, version, result, events)
+        system = self._build_system(test_case, version, fast_forward=True)
+        if self.tracer is not None:
+            system.detection_log.tracer = self.tracer
         result = system.run(injector)
-        self.runs_executed += 1
-        self._emit_run_end(result)
-        self._record_metrics(result, system.detection_log.events)
-        return ExperimentRecord(error=error, version=version, result=result)
+        return self._finish(error, version, result, system.detection_log.events)
 
     def timeout_record(
         self,

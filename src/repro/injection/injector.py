@@ -103,6 +103,17 @@ class TimeTriggeredInjector:
             _trace_injection(self, now_ms, "time-triggered")
         return True
 
+    def injections_through(self, last_ms: int) -> int:
+        """How many flips :meth:`tick` performs over ticks ``0..last_ms``.
+
+        The closed form of the trigger above: one flip at ``start_ms``
+        and one every ``period_ms`` after it, up to and including
+        ``last_ms``.
+        """
+        if last_ms < self.start_ms:
+            return 0
+        return (last_ms - self.start_ms) // self.period_ms + 1
+
     def reset(self) -> None:
         """Forget injection history (new experiment run)."""
         self.injections = 0

@@ -4,12 +4,20 @@ All program state of the simulated target lives here, so a bit-flip at an
 (address, bit) pair — the paper's SWIFI error model — corrupts exactly
 the state the software computes with.  Accessors are deliberately plain
 functions over a ``bytearray``: they sit on the 1-ms simulation hot path.
+
+Read recording.  :meth:`MemoryMap.recording_reads` reports which bytes
+the software reads through its :class:`Variable` handles during one
+stretch of execution — the def/use information the campaign controller
+prunes dead injections with.  Outside a recording, ``Variable.get``
+carries no trace of the feature: the recording swaps the map's
+registered handles to a recording subclass for its duration only.
 """
 
 from __future__ import annotations
 
 import bisect
-from typing import Dict, List, Optional
+from contextlib import contextmanager
+from typing import Dict, Iterator, List, Optional, Set
 
 from repro.memory.layout import MemoryRegion, Symbol
 
@@ -33,6 +41,11 @@ class MemoryMap:
         self._starts = [r.start for r in self._ordered]
         self._size = max(r.end for r in regions)
         self.data = bytearray(self._size)
+        #: Every :class:`Variable` bound to this map (they register
+        #: themselves), so a recording can reach them all.
+        self._variables: List["Variable"] = []
+        #: The byte set of the recording in progress, else ``None``.
+        self._reads: Optional[Set[int]] = None
 
     # -- geometry ---------------------------------------------------------
 
@@ -122,6 +135,29 @@ class MemoryMap:
             )
         self.data[:] = snapshot
 
+    # -- read recording -----------------------------------------------------
+
+    @contextmanager
+    def recording_reads(self) -> Iterator[Set[int]]:
+        """Record the addresses of every byte read through a :class:`Variable`.
+
+        Yields the set the recording fills.  The map's variables —
+        including any created inside the block — run the recording
+        ``get`` until the block exits; recordings do not nest.
+        """
+        if self._reads is not None:
+            raise RuntimeError("this memory map is already recording reads")
+        reads: Set[int] = set()
+        self._reads = reads
+        for variable in self._variables:
+            variable.__class__ = _RecordingVariable
+        try:
+            yield reads
+        finally:
+            for variable in self._variables:
+                variable.__class__ = Variable
+            self._reads = None
+
 
 class Variable:
     """A typed handle binding a :class:`Symbol` to a :class:`MemoryMap`.
@@ -144,6 +180,9 @@ class Variable:
         self._addr = symbol.address
         self._data = memory.data
         self.signed = signed
+        memory._variables.append(self)
+        if memory._reads is not None:
+            self.__class__ = _RecordingVariable
 
     @property
     def name(self) -> str:
@@ -175,3 +214,20 @@ class Variable:
 
     def __repr__(self) -> str:
         return f"Variable({self.symbol.name}@0x{self._addr:04X}={self.get()})"
+
+
+class _RecordingVariable(Variable):
+    """A :class:`Variable` that notes the bytes it reads (see
+    :meth:`MemoryMap.recording_reads`); same layout, so handles switch
+    class in place."""
+
+    __slots__ = ()
+
+    def get(self) -> int:
+        addr = self._addr
+        reads = self.memory._reads
+        reads.add(addr)
+        reads.add(addr + 1)
+        # Looked up on the base class at call time, so a wrapper
+        # installed on ``Variable.get`` (a profiler) still sees the read.
+        return Variable.get(self)

@@ -23,6 +23,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.targets.base import RunResult, Target
 from repro.targets.batch.core import BatchRunSpec, numpy_available
+from repro.targets.tanklevel.instrumentation import SIGNAL_BY_EA as TANK_SIGNAL_BY_EA
 from repro.serve.session import ServeError, ServeEvent, SessionSpec
 
 __all__ = [
@@ -34,6 +35,11 @@ __all__ = [
 #: Target name -> resumable kernel factory ``(specs, capture_events)``.
 _KERNEL_FACTORIES: Dict[str, Callable] = {}
 
+#: Target name -> the signal each kernel monitor id checks, so a
+#: detection is labelled with the firing monitor's signal (as the
+#: serial path's detection log does), not the session's injected one.
+_SIGNAL_BY_EA: Dict[str, Dict[str, str]] = {}
+
 
 def _tank_kernel(specs, capture_events: bool = True):
     from repro.targets.batch.tanklevel import TankBatchKernel
@@ -42,6 +48,7 @@ def _tank_kernel(specs, capture_events: bool = True):
 
 
 _KERNEL_FACTORIES["tanklevel"] = _tank_kernel
+_SIGNAL_BY_EA["tanklevel"] = TANK_SIGNAL_BY_EA
 
 
 def batch_kernel_factory(target_name: str) -> Optional[Callable]:
@@ -91,10 +98,10 @@ class BatchGroup:
         self.target = target
         self.max_rows = max_rows
         self._factory = factory
+        self._signal_by_ea = _SIGNAL_BY_EA[target.name]
         self._specs: List[BatchRunSpec] = []
         self.session_ids: List[str] = []
         self.active: List[bool] = []
-        self._signals: List[Optional[str]] = []
         self.kernel = None
         self._row_of: Dict[str, int] = {}
 
@@ -126,7 +133,6 @@ class BatchGroup:
         self._specs.append(_batch_spec(spec))
         self.session_ids.append(spec.session_id)
         self.active.append(True)
-        self._signals.append(spec.signal)
         self._row_of[spec.session_id] = row
         return row
 
@@ -146,12 +152,13 @@ class BatchGroup:
         for row, time_ms, monitor_id in self.kernel.drain_events():
             if not self.active[row]:
                 continue
+            monitor = str(monitor_id)
             events.append(
                 ServeEvent(
                     session_id=self.session_ids[row],
                     time_ms=int(time_ms),
-                    monitor_id=str(monitor_id),
-                    signal=self._signals[row],
+                    monitor_id=monitor,
+                    signal=self._signal_by_ea[monitor],
                 )
             )
         return events

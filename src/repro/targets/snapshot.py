@@ -160,6 +160,39 @@ def _boot(
     return target.boot(test_case, version, run_config=run_config, classifier=None)
 
 
+def _boot_snapshot(
+    target: Target, test_case: TestCase, version: str, run_config: Any
+) -> Snapshot:
+    key = _cache_key(target, version, test_case, run_config, prefix_ms=0)
+    snapshot = _CACHE.get(key)
+    if snapshot is None:
+        _CACHE.stats.boot_misses += 1
+        snapshot = target.snapshot(_boot(target, test_case, version, run_config))
+        _CACHE.put(key, snapshot)
+    else:
+        _CACHE.stats.boot_hits += 1
+    return snapshot
+
+
+def _prefix_snapshot(
+    target: Target, test_case: TestCase, version: str, prefix_ms: int, run_config: Any
+) -> Optional[Snapshot]:
+    key = _cache_key(target, version, test_case, run_config, prefix_ms)
+    snapshot = _CACHE.get(key)
+    if snapshot is None:
+        system = _boot(target, test_case, version, run_config)
+        run_prefix = getattr(system, "run_prefix", None)
+        if run_prefix is None:
+            return None
+        _CACHE.stats.prefix_misses += 1
+        run_prefix(prefix_ms)
+        snapshot = target.snapshot(system)
+        _CACHE.put(key, snapshot)
+    else:
+        _CACHE.stats.prefix_hits += 1
+    return snapshot
+
+
 def booted_system(
     target: Target,
     test_case: TestCase,
@@ -174,15 +207,7 @@ def booted_system(
     uniform.  Only classifier-default boots are cached (a caller-supplied
     classifier instance has no stable identity to key on).
     """
-    key = _cache_key(target, version, test_case, run_config, prefix_ms=0)
-    snapshot = _CACHE.get(key)
-    if snapshot is None:
-        _CACHE.stats.boot_misses += 1
-        snapshot = target.snapshot(_boot(target, test_case, version, run_config))
-        _CACHE.put(key, snapshot)
-    else:
-        _CACHE.stats.boot_hits += 1
-    return target.restore(snapshot)
+    return target.restore(_boot_snapshot(target, test_case, version, run_config))
 
 
 def prefixed_system(
@@ -202,20 +227,8 @@ def prefixed_system(
     """
     if prefix_ms <= 0:
         return booted_system(target, test_case, version, run_config)
-    key = _cache_key(target, version, test_case, run_config, prefix_ms)
-    snapshot = _CACHE.get(key)
-    if snapshot is None:
-        system = _boot(target, test_case, version, run_config)
-        run_prefix = getattr(system, "run_prefix", None)
-        if run_prefix is None:
-            return None
-        _CACHE.stats.prefix_misses += 1
-        run_prefix(prefix_ms)
-        snapshot = target.snapshot(system)
-        _CACHE.put(key, snapshot)
-    else:
-        _CACHE.stats.prefix_hits += 1
-    return target.restore(snapshot)
+    snapshot = _prefix_snapshot(target, test_case, version, prefix_ms, run_config)
+    return target.restore(snapshot) if snapshot is not None else None
 
 
 def prewarm(
@@ -230,9 +243,10 @@ def prewarm(
     The dispatcher calls this for every distinct (version, case) of a
     campaign *before* forking its worker pool, so the expensive prefix
     simulations happen exactly once and reach every worker through the
-    forked address space instead of being redone per worker.
+    forked address space instead of being redone per worker.  Nothing
+    is restored: the lookup counts as a hit or a miss like any other.
     """
     if prefix_ms > 0:
-        return prefixed_system(target, test_case, version, prefix_ms, run_config) is not None
-    booted_system(target, test_case, version, run_config)
+        return _prefix_snapshot(target, test_case, version, prefix_ms, run_config) is not None
+    _boot_snapshot(target, test_case, version, run_config)
     return True

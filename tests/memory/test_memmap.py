@@ -194,3 +194,47 @@ class TestVariable:
         var = Variable(mem, Symbol("x", 0x10, 2))
         var.set(7)
         assert "x" in repr(var) and "=7" in repr(var)
+
+
+class TestReadRecording:
+    def test_records_bytes_read_through_variables_only(self):
+        mem = _memory()
+        read = Variable(mem, Symbol("read", 0x10, 2))
+        written = Variable(mem, Symbol("written", 0x20, 2))
+        bumped = Variable(mem, Symbol("bumped", 0x104, 2))
+        with mem.recording_reads() as reads:
+            read.get()
+            written.set(7)
+            bumped.add(1)
+            mem.data[0x30] ^= 1  # a direct (injector-style) write
+        assert reads == {0x10, 0x11, 0x104, 0x105}
+
+    def test_handles_revert_to_the_plain_class(self):
+        mem = _memory()
+        var = Variable(mem, Symbol("v", 0x10, 2))
+        with mem.recording_reads():
+            assert type(var) is not Variable
+            late = Variable(mem, Symbol("late", 0x12, 2))
+            late.get()
+        assert type(var) is Variable and type(late) is Variable
+        with mem.recording_reads() as reads:
+            late.get()
+        assert reads == {0x12, 0x13}
+
+    def test_values_unchanged_while_recording(self):
+        mem = _memory()
+        var = Variable(mem, Symbol("s", 0x10, 2), signed=True)
+        var.set(-5)
+        with mem.recording_reads():
+            assert var.get() == -5
+            assert var.add(2) == -3
+
+    def test_recordings_do_not_nest(self):
+        mem = _memory()
+        with mem.recording_reads():
+            with pytest.raises(RuntimeError, match="already recording"):
+                with mem.recording_reads():
+                    pass
+        with mem.recording_reads() as reads:  # the failed attempt left no state
+            pass
+        assert reads == set()

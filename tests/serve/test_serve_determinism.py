@@ -145,3 +145,22 @@ def test_frame_size_does_not_change_events():
             report.outcomes[spec.session_id], offline_result, offline_key,
             batch=False,
         )
+
+
+def test_batch_labels_detections_with_the_firing_monitors_signal():
+    # SetPoint bit 10 is caught by EA3 on flow_acc; tick bit 3 by EA1 on
+    # SetPoint: the detections belong to another signal's monitor.
+    target = get_target("tanklevel")
+    if not target.supports_batch():
+        pytest.skip("numpy unavailable: no vectorized serving path")
+    specs = [
+        SessionSpec(session_id=f"cross-{signal}", target="tanklevel",
+                    signal=signal, signal_bit=bit, period_ms=20, start_ms=0)
+        for signal, bit in (("SetPoint", 10), ("tick", 3))
+    ]
+    report = serve_replay(specs, FleetConfig(workers=1, batch=True), frame_ticks=20)
+    for spec in specs:
+        offline_result, offline_key = _offline(target, spec)
+        outcome = report.outcomes[spec.session_id]
+        assert any(e.signal != spec.signal for e in outcome.events)
+        _assert_matches_offline(outcome, offline_result, offline_key, batch=True)

@@ -22,6 +22,7 @@ from repro.targets.registry import get_target
 from repro.targets.snapshot import (
     SnapshotCache,
     _cache_key,
+    prewarm,
     snapshots_enabled_default,
 )
 
@@ -153,6 +154,23 @@ class TestCache:
         assert stats["boot_hits"] == 1
         assert stats["prefix_misses"] == 1
         assert stats["prefix_hits"] == 1
+
+    def test_prewarm_captures_without_restoring(self, monkeypatch):
+        target = get_target("tanklevel")
+        case = target.test_cases()[0]
+        restores = []
+        original = type(target).restore
+        monkeypatch.setattr(
+            type(target), "restore",
+            lambda self, snapshot: restores.append(snapshot) or original(self, snapshot),
+        )
+        for _ in range(2):
+            assert prewarm(target, case, "All")
+            assert prewarm(target, case, "All", prefix_ms=500)
+        assert restores == []
+        stats = cache_stats().as_dict()
+        assert (stats["boot_misses"], stats["boot_hits"]) == (1, 1)
+        assert (stats["prefix_misses"], stats["prefix_hits"]) == (1, 1)
 
     def test_lru_eviction_is_bounded_and_counted(self):
         cache = SnapshotCache(maxsize=2)
